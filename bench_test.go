@@ -1,5 +1,5 @@
 // Benchmarks regenerating the paper's evaluation section, one bench
-// per table/figure (see DESIGN.md's per-experiment index):
+// per table/figure:
 //
 //	E1  BenchmarkTable2_DatasetShapes      dataset generation (Table II)
 //	E2  TestAccuracy / via cmd/tables      relative lnL difference (§IV-1)
@@ -9,7 +9,7 @@
 //	E6  BenchmarkExpm/*                    Eq. 9 vs Eq. 10 kernel ablation
 //	E7  BenchmarkCondVec/*                 Eq. 12 conditional-vector ablation
 //
-// plus design-choice ablations from DESIGN.md:
+// plus design-choice ablations:
 //
 //	BenchmarkLikelihoodEval/*       one pruning pass per engine strategy
 //	BenchmarkBranchUpdate/*         O(depth) path update vs full pruning
@@ -320,10 +320,8 @@ func TestAccuracyHarness(t *testing.T) {
 }
 
 // BenchmarkParallelEngine contrasts the execution strategies on the
-// dataset iii shape: serial, the seed's class-level parallelism
-// (ceiling: one goroutine per site class, i.e. 4-way), and the
-// block-pool engine over (class × pattern-block) tiles at 1/2/4/8
-// workers. All strategies compute bit-identical log-likelihoods; only
+// dataset iii shape: serial and the block-pool engine over
+// (component × pattern-block) tiles at 1/2/4/8 workers. All strategies compute bit-identical log-likelihoods; only
 // the scheduling differs. The README records the measured table.
 func BenchmarkParallelEngine(b *testing.B) {
 	fx, err := bench.NewEvalFixture("iii", 0, 1)
@@ -350,11 +348,6 @@ func BenchmarkParallelEngine(b *testing.B) {
 		}
 	}
 	b.Run("serial", func(b *testing.B) { run(b, base) })
-	b.Run("class-4way", func(b *testing.B) {
-		cfg := base
-		cfg.Parallel = true
-		run(b, cfg)
-	})
 	for _, workers := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("block-pool-%dw", workers), func(b *testing.B) {
 			cfg := base
@@ -504,8 +497,7 @@ func BenchmarkBatchDriver(b *testing.B) {
 
 // BenchmarkBranchUpdate quantifies the O(depth) single-branch path
 // update against a full pruning pass — the design choice that makes
-// numerical branch-length gradients affordable (DESIGN.md,
-// "Optimization").
+// numerical branch-length gradients affordable.
 func BenchmarkBranchUpdate(b *testing.B) {
 	preset, err := sim.PresetByID("iii")
 	if err != nil {

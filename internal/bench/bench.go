@@ -170,7 +170,7 @@ func ComputeAccuracy(p *Pair) Accuracy {
 // PrintTable2 writes the dataset inventory (the reproduction's
 // counterpart to the paper's Table II).
 func PrintTable2(w io.Writer) {
-	fmt.Fprintln(w, "Table II — evaluation datasets (simulated stand-ins, see DESIGN.md)")
+	fmt.Fprintln(w, "Table II — evaluation datasets (simulated stand-ins)")
 	fmt.Fprintf(w, "%-4s %-55s %8s %8s\n", "No.", "Characterization", "Species", "Codons")
 	for _, p := range sim.TableII {
 		fmt.Fprintf(w, "%-4s %-55s %8d %8d\n", p.ID, p.Description, p.Species, p.Codons)

@@ -18,8 +18,8 @@ import (
 type Snapshot struct {
 	GOMAXPROCS int    `json:"gomaxprocs"`
 	Caveat     string `json:"caveat"`
-	// ParallelEval is the full-evaluation sweep (serial vs class vs
-	// block pool) on the dataset-iii shape; durations in ns/op.
+	// ParallelEval is the full-evaluation sweep (serial vs block pool)
+	// on the dataset-iii shape; durations in ns/op.
 	ParallelEval SnapshotEval `json:"parallel_eval"`
 	// TransitionRefresh is the transition-phase sweep (full P(t)
 	// rebuild) across tree sizes of the dataset-iv family.
@@ -66,7 +66,6 @@ type SnapshotKernelTiming struct {
 // SnapshotEval mirrors ParallelSweep with JSON-stable units.
 type SnapshotEval struct {
 	SerialNs int64           `json:"serial_ns_per_op"`
-	ClassNs  int64           `json:"class_ns_per_op"`
 	Points   []SnapshotPoint `json:"block_pool"`
 }
 
@@ -117,13 +116,10 @@ func RecordSnapshot(workerCounts []int, species []int, evals int) (*Snapshot, er
 	if err != nil {
 		return nil, err
 	}
-	snap.ParallelEval = SnapshotEval{
-		SerialNs: ps.Serial.Nanoseconds(),
-		ClassNs:  ps.Class.Nanoseconds(),
-	}
+	snap.ParallelEval = SnapshotEval{SerialNs: ps.Serial.Nanoseconds()}
 	for _, p := range ps.Points {
 		snap.ParallelEval.Points = append(snap.ParallelEval.Points, SnapshotPoint{
-			Workers: p.Workers, NsPerOp: p.Eval.Nanoseconds(), Speedup: p.SpeedupVsClass,
+			Workers: p.Workers, NsPerOp: p.Eval.Nanoseconds(), Speedup: p.SpeedupVsSerial,
 		})
 	}
 

@@ -211,3 +211,56 @@ func TestClassNames(t *testing.T) {
 		t.Fatal("hypothesis names wrong")
 	}
 }
+
+// The shared normalizer reduces to MuBar = (p0·μ0 + p1·μ1)/(p0+p1):
+// classes 2a and 2b split the remaining mass in the ratio p0 : p1 and
+// use ω0 and ω1 on background branches. A move in p0 or p1 that changes
+// their ratio therefore changes MuBar and with it the effective time
+// t/MuBar, and so every branch's P(t). A proportion probe is not a
+// reweighting of cached per-class root partials: it needs the full
+// pruning pass like any other model parameter.
+func TestMuBarDependsOnProportionRatio(t *testing.T) {
+	pi := codon.UniformFrequencies(codon.Universal)
+	for _, p := range []Params{
+		{Kappa: 2, Omega0: 0.1, Omega2: 3, P0: 0.6, P1: 0.3},
+		{Kappa: 1.5, Omega0: 0.4, Omega2: 1, P0: 0.2, P1: 0.05},
+		{Kappa: 3, Omega0: 0.05, Omega2: 5, P0: 0.45, P1: 0.45},
+	} {
+		for _, h := range []Hypothesis{H0, H1} {
+			if h == H0 {
+				p.Omega2 = 1
+			}
+			m, err := New(codon.Universal, h, p, pi)
+			if err != nil {
+				t.Fatal(err)
+			}
+			mu0, mu1 := m.Rates[rateOmega0].Mu, m.Rates[rateOmega1].Mu
+			want := (p.P0*mu0 + p.P1*mu1) / (p.P0 + p.P1)
+			if math.Abs(m.MuBar-want) > 1e-14*want {
+				t.Fatalf("%v %+v: MuBar %g, (p0·μ0 + p1·μ1)/(p0+p1) = %g", h, p, m.MuBar, want)
+			}
+
+			// Same ratio, different mass: MuBar is unchanged.
+			scaled := p
+			scaled.P0, scaled.P1 = p.P0*0.9, p.P1*0.9
+			ms, err := New(codon.Universal, h, scaled, pi)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if math.Abs(ms.MuBar-m.MuBar) > 1e-14*m.MuBar {
+				t.Fatalf("%v %+v: rescaling p0, p1 jointly moved MuBar %g → %g", h, p, m.MuBar, ms.MuBar)
+			}
+
+			// A p0 probe alone moves MuBar, hence every branch's time.
+			probe := p
+			probe.P0 += 1e-3
+			mp, err := New(codon.Universal, h, probe, pi)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if mp.EffectiveTime(0.1) == m.EffectiveTime(0.1) {
+				t.Fatalf("%v %+v: a p0 probe left the effective branch time unchanged", h, p)
+			}
+		}
+	}
+}

@@ -258,40 +258,8 @@ func (an *Analysis) FitFrom(h bsm.Hypothesis, p0 bsm.Params, startLens []float64
 	}
 
 	opts := an.opts.Engine.optOptions(an.opts.MaxIterations)
-	// Gradient: full evaluations for model parameters, cheap path
-	// updates for branch lengths (the engine caches make a branch
-	// perturbation cost O(depth) instead of O(tree)).
 	gradient := func(x, g []float64) {
-		fx := objective(x) // sync engine state to x
-		for i := 0; i < layout.nModel; i++ {
-			hStep := opts.FDStep * (1 + math.Abs(x[i]))
-			old := x[i]
-			if opts.Gradient == optimize.GradForward {
-				x[i] = old + hStep
-				g[i] = (objective(x) - fx) / hStep
-			} else {
-				x[i] = old + hStep
-				fp := objective(x)
-				x[i] = old - hStep
-				fm := objective(x)
-				g[i] = (fp - fm) / (2 * hStep)
-			}
-			x[i] = old
-		}
-		// Restore the center state for the branch path updates.
-		objective(x)
-		for k, id := range layout.branchIDs {
-			i := layout.nModel + k
-			hStep := opts.FDStep * (1 + math.Abs(x[i]))
-			if opts.Gradient == optimize.GradForward {
-				fp := -an.eng.BranchLogLikelihood(id, trBranch.External(x[i]+hStep))
-				g[i] = (fp - fx) / hStep
-			} else {
-				fp := -an.eng.BranchLogLikelihood(id, trBranch.External(x[i]+hStep))
-				fm := -an.eng.BranchLogLikelihood(id, trBranch.External(x[i]-hStep))
-				g[i] = (fp - fm) / (2 * hStep)
-			}
-		}
+		fdGradient(an.eng, objective, layout.nModel, layout.branchIDs, opts, x, g)
 	}
 
 	res := optimize.Minimize(optimize.Problem{F: objective, Grad: gradient}, x0, opts)

@@ -118,7 +118,7 @@ type BatchResult struct {
 
 // RunBatch runs the full branch-site test on every gene, fitting up to
 // Concurrency genes at once while all likelihood engines execute their
-// (class × pattern-block) tiles on one shared persistent worker pool
+// (component × pattern-block) tiles on one shared persistent worker pool
 // and share one eigendecomposition cache. Per-gene results are
 // bit-identical to a sequential Analysis.Run with the same Options:
 // parallelism only reorders independent work, never the arithmetic.

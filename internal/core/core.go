@@ -32,7 +32,7 @@
 //   - Block-pool engine: one Analysis whose likelihood work runs on a
 //     worker pool with worker-indexed scratch (Options.Workers > 0, or
 //     a shared lik.Pool in a batch) — pruning as
-//     (class × pattern-block) tiles, the transition-matrix phase as
+//     (component × pattern-block) tiles, the transition-matrix phase as
 //     per-(branch, slot) builds, and SetModel eigendecompositions as
 //     per-slot tasks, so no serial kernel phase remains between
 //     optimizer iterations.

@@ -67,36 +67,42 @@ func (f *fitter) objective(x []float64) float64 {
 }
 
 func (f *fitter) gradient(x, g []float64) {
-	fx := f.objective(x) // sync engine state to x
-	for i := 0; i < f.nModel; i++ {
-		hStep := f.opts.FDStep * (1 + math.Abs(x[i]))
-		old := x[i]
-		if f.opts.Gradient == optimize.GradForward {
-			x[i] = old + hStep
-			g[i] = (f.objective(x) - fx) / hStep
+	fdGradient(f.eng, f.objective, f.nModel, f.branchIDs, f.opts, x, g)
+}
+
+// fdGradient is the finite-difference gradient of every fit: x packs
+// nModel model parameters followed by one log-length per branch of
+// branchIDs, and objective installs x in eng and returns −lnL. The
+// synchronizing objective(x) leaves eng at the center, so the branch
+// coordinates go first, through the engine's cheap single-branch path
+// updates; the model coordinates then probe with full evaluations and
+// leave eng at the last probe (every objective call reinstalls).
+func fdGradient(eng *lik.Engine, objective func([]float64) float64, nModel int, branchIDs []int, opts optimize.Options, x, g []float64) {
+	fx := objective(x)
+	for k, id := range branchIDs {
+		i := nModel + k
+		hStep := opts.FDStep * (1 + math.Abs(x[i]))
+		fp := -eng.BranchLogLikelihood(id, trBranch.External(x[i]+hStep))
+		if opts.Gradient == optimize.GradForward {
+			g[i] = (fp - fx) / hStep
 		} else {
-			x[i] = old + hStep
-			fp := f.objective(x)
+			fm := -eng.BranchLogLikelihood(id, trBranch.External(x[i]-hStep))
+			g[i] = (fp - fm) / (2 * hStep)
+		}
+	}
+	for i := 0; i < nModel; i++ {
+		hStep := opts.FDStep * (1 + math.Abs(x[i]))
+		old := x[i]
+		x[i] = old + hStep
+		fp := objective(x)
+		if opts.Gradient == optimize.GradForward {
+			g[i] = (fp - fx) / hStep
+		} else {
 			x[i] = old - hStep
-			fm := f.objective(x)
+			fm := objective(x)
 			g[i] = (fp - fm) / (2 * hStep)
 		}
 		x[i] = old
-	}
-	// Restore the center state, then use cheap path updates for the
-	// branch coordinates.
-	f.objective(x)
-	for k, id := range f.branchIDs {
-		i := f.nModel + k
-		hStep := f.opts.FDStep * (1 + math.Abs(x[i]))
-		if f.opts.Gradient == optimize.GradForward {
-			fp := -f.eng.BranchLogLikelihood(id, trBranch.External(x[i]+hStep))
-			g[i] = (fp - fx) / hStep
-		} else {
-			fp := -f.eng.BranchLogLikelihood(id, trBranch.External(x[i]+hStep))
-			fm := -f.eng.BranchLogLikelihood(id, trBranch.External(x[i]-hStep))
-			g[i] = (fp - fm) / (2 * hStep)
-		}
 	}
 }
 

@@ -12,22 +12,35 @@
 //     matrix-matrix product (BLAS level 3, the paper's rule of thumb
 //     and stated future optimization).
 //
-// Orthogonally to the apply mode, three parallel execution strategies
-// are available (§V-B, the step toward the fully parallel FastCodeML):
+// Each distinct conditional vector is computed once. A class's message
+// at node v depends only on the rate matrices the class uses on branch
+// v and on every branch below it, so two classes that agree there have
+// bit-identical messages at v. SetModel derives rep[c][v], the smallest
+// such class, and every reader (pruning, the root combine, posteriors
+// and the single-branch walk) takes class c's message at v from
+// msg[rep[c][v]][v]. Under the branch-site model's Table I, classes 2a
+// and 2b therefore reuse the messages of classes 0 and 1 everywhere off
+// the foreground branch's path to the root, and under H0 (ω2 = ω1)
+// class 2b reuses class 1 everywhere. Classes linked by sharing form a
+// component; components are independent of one another.
 //
-//   - serial — one goroutine walks every class over every pattern;
-//   - class — one goroutine per site class (at most 4-way);
+// Orthogonally to the apply mode, two execution strategies are
+// available (§V-B, the step toward the fully parallel FastCodeML):
+//
+//   - serial — one goroutine walks every component over every pattern;
 //   - block-pool — a persistent worker Pool executes the engine's
-//     independent work units under worker-indexed scratch. Pruning
-//     runs as (class × pattern-block) tiles: the compressed pattern
-//     range is split into cache-sized blocks and every kernel operates
-//     on sub-ranges. The transition-matrix phase runs as
-//     per-(branch, slot) tasks writing disjoint P(t) matrices, and
-//     SetModel's eigendecompositions (on decomposition-cache miss) run
-//     as per-slot tasks — so no serial phase remains between optimizer
-//     iterations. Per-task contributions are combined by deterministic
-//     serial reductions, so the result is bit-identical to the serial
-//     path for any worker count and block size.
+//     independent work units under worker-indexed scratch. Pruning and
+//     the single-branch walk run as (component × pattern-block) tiles:
+//     the compressed pattern range is split into cache-sized blocks and
+//     every kernel operates on sub-ranges, so even a one-block
+//     alignment yields one tile per component. The transition-matrix
+//     phase runs as per-(branch, slot) tasks writing disjoint P(t)
+//     matrices, and SetModel's eigendecompositions (on
+//     decomposition-cache miss) run as per-slot tasks — so no serial
+//     phase remains between optimizer iterations. Per-task
+//     contributions are combined by deterministic serial reductions,
+//     so the result is bit-identical to the serial path for any worker
+//     count and block size.
 //
 // Mutable kernel scratch (expm workspaces, apply-mode vectors) is
 // owned per worker ID: pool workers and inline-executing submitters
@@ -36,11 +49,11 @@
 // worker 0. No scratch is ever shared between two concurrently running
 // tasks.
 //
-// The engine caches one "message" per branch and site class — the
-// child's conditional probability vector propagated through the
-// branch's transition matrix — so that perturbing a single branch
-// length (as the optimizer's numerical gradient does for every branch)
-// only recomputes the path from that branch to the root.
+// The engine caches one "message" per branch and representative site
+// class — the child's conditional probability vector propagated
+// through the branch's transition matrix — so that perturbing a single
+// branch length (as the optimizer's numerical gradient does for every
+// branch) only recomputes the path from that branch to the root.
 //
 // Eigendecompositions can additionally be memoized in a DecompCache
 // shared across engines and genes. The cache key is the genetic
@@ -58,7 +71,6 @@ package lik
 import (
 	"fmt"
 	"math"
-	"sync"
 
 	"repro/internal/align"
 	"repro/internal/blas"
@@ -108,12 +120,6 @@ type Config struct {
 	// vectors when their maximum drops below it; zero selects the
 	// default 1e-100.
 	ScaleThreshold float64
-	// Parallel prunes the four site classes concurrently — the seed
-	// engine's class-level parallelism, kept as a comparison point.
-	// Superseded by Workers/Pool, which parallelize over
-	// (class × pattern-block) tiles and per-(branch, slot) transition
-	// builds instead of classes only.
-	Parallel bool
 	// Workers > 0 selects the block-pool engine with an engine-owned
 	// pool of that many persistent workers (call Close to release
 	// them). Ignored when Pool is set.
@@ -140,12 +146,17 @@ func (c *Config) fill() {
 }
 
 // Stats counts the expensive operations an Engine has performed,
-// for the ablation benchmarks and tests.
+// for the ablation benchmarks and tests. Every count is independent of
+// the tiling and the worker count.
 type Stats struct {
 	Eigendecompositions int
 	TransitionBuilds    int
 	FullEvaluations     int
 	BranchEvaluations   int
+	// MessageApplies counts the branch messages computed: one per
+	// (class, node) pair whose message is not shared with a smaller
+	// class, per full or single-branch evaluation.
+	MessageApplies int
 }
 
 type nodeInfo struct {
@@ -192,6 +203,21 @@ type Engine struct {
 	numClasses int
 	numSlots   int
 	decomps    []*expm.Decomposition
+	// classSlot[c][fg] is the slot class c reads on a background (fg =
+	// 0) or foreground (fg = 1) branch, canonicalized to the smallest
+	// slot holding the same rate matrix, so aliased slots share one
+	// transition matrix per branch.
+	classSlot [][2]int
+	// rep[c][v] is the smallest class whose message at node v equals
+	// class c's bit for bit: same rate matrix on branch v and on every
+	// branch below it. Only (c, v) with rep[c][v] == c is computed.
+	rep [][]int
+	// comps partitions the classes into sharing components, each in
+	// ascending order so every representative precedes its sharers.
+	comps [][]int
+	// applies[v] is the number of messages computed at node v (classes
+	// that are their own representative there).
+	applies []int
 	// arena is the single-slot scratch of a pool-less engine (the
 	// calling goroutine is worker 0); engines with a pool use the
 	// pool's shared per-worker arena instead.
@@ -213,25 +239,25 @@ type Engine struct {
 
 	// msg[class][v] is P_v·partial(v) per pattern (rows = patterns);
 	// scale[class][v][pat] accumulates the log-scaling of the subtree.
+	// Both are allocated only where the class is its own representative.
 	msg   [][]*mat.Matrix
 	scale [][][]float64
 
-	// Scratch for BranchLogLikelihood: scrMsg/scrMsgScale hold the
-	// perturbed message travelling up the path, scrMsg2/scrScale2 the
-	// next level (tiles alternate between the pair without mutating
-	// engine state), scrPartial the node partial being formed and the
-	// root partial at the end of the walk; scrRootScale is the fixed
-	// destination of the root scale so its location does not depend on
-	// the path's parity.
+	// Scratch for BranchLogLikelihood: walkMsg[c][k&1] and
+	// walkScale[c][k&1] hold class c's perturbed message k levels above
+	// the perturbed branch (levels alternate between the pair, so a
+	// level reads only the other parity), scrPartial the node partial
+	// being formed and the root partial at the end of the walk;
+	// scrRootScale is the fixed destination of the root scale so its
+	// location does not depend on the path's parity.
 	scrTrans     []*mat.Matrix
 	scrTransPack []*blas.PackedB
-	scrMsg       []*mat.Matrix
-	scrMsg2      []*mat.Matrix
+	walkMsg      [][2]*mat.Matrix
+	walkScale    [][2][]float64
 	scrPartial   []*mat.Matrix
-	scrMsgScale  [][]float64
-	scrScale2    [][]float64
 	scrRootScale [][]float64
-	vecScratch   [][]float64
+	// vec is the apply scratch of a pool-less engine.
+	vec []float64
 
 	// siteLnL[p] is pattern p's weighted log-likelihood contribution,
 	// filled per block and reduced serially so the total is identical
@@ -340,6 +366,8 @@ func New(t *newick.Tree, pats *align.Patterns, names []string, cfg Config) (*Eng
 		e.arena = expm.NewArena(1)
 	}
 	e.siteLnL = make([]float64, e.npat)
+	e.vec = make([]float64, n)
+	e.applies = make([]int, len(e.nodes))
 
 	return e, nil
 }
@@ -382,28 +410,139 @@ func (e *Engine) ensureBuffers(numClasses, numSlots int) {
 	e.numClasses = numClasses
 	e.msg = make([][]*mat.Matrix, numClasses)
 	e.scale = make([][][]float64, numClasses)
-	e.scrMsg = make([]*mat.Matrix, numClasses)
-	e.scrMsg2 = make([]*mat.Matrix, numClasses)
+	e.rep = make([][]int, numClasses)
+	e.classSlot = make([][2]int, numClasses)
+	e.walkMsg = make([][2]*mat.Matrix, numClasses)
+	e.walkScale = make([][2][]float64, numClasses)
 	e.scrPartial = make([]*mat.Matrix, numClasses)
-	e.scrMsgScale = make([][]float64, numClasses)
-	e.scrScale2 = make([][]float64, numClasses)
 	e.scrRootScale = make([][]float64, numClasses)
-	e.vecScratch = make([][]float64, numClasses)
 	for c := 0; c < numClasses; c++ {
 		e.msg[c] = make([]*mat.Matrix, len(e.nodes))
 		e.scale[c] = make([][]float64, len(e.nodes))
-		for v := range e.nodes {
-			e.msg[c][v] = mat.New(e.npat, e.n)
-			e.scale[c][v] = make([]float64, e.npat)
+		e.rep[c] = make([]int, len(e.nodes))
+		for k := range e.walkMsg[c] {
+			e.walkMsg[c][k] = mat.New(e.npat, e.n)
+			e.walkScale[c][k] = make([]float64, e.npat)
 		}
-		e.scrMsg[c] = mat.New(e.npat, e.n)
-		e.scrMsg2[c] = mat.New(e.npat, e.n)
 		e.scrPartial[c] = mat.New(e.npat, e.n)
-		e.scrMsgScale[c] = make([]float64, e.npat)
-		e.scrScale2[c] = make([]float64, e.npat)
 		e.scrRootScale[c] = make([]float64, e.npat)
-		e.vecScratch[c] = make([]float64, e.n)
 	}
+}
+
+// deriveSharing computes the canonical class slots, the representative
+// table rep, the sharing components and the per-node apply counts for
+// the installed model, and allocates the message buffers the new
+// representatives need. Node IDs are post-order, so each node's
+// children are settled before the node itself.
+func (e *Engine) deriveSharing() {
+	m := e.model
+	canon := make([]int, e.numSlots)
+	for w := range canon {
+		canon[w] = w
+		for w2 := 0; w2 < w; w2++ {
+			if m.RateAt(w2) == m.RateAt(w) {
+				canon[w] = w2
+				break
+			}
+		}
+	}
+	for c := range e.classSlot {
+		e.classSlot[c] = [2]int{canon[m.RateSlotFor(c, false)], canon[m.RateSlotFor(c, true)]}
+	}
+
+	// same reports whether classes c and c2 have equal messages at v:
+	// the same slot on v's branch (the root has none) and the same
+	// representative at every child.
+	same := func(v, c, c2 int) bool {
+		nd := &e.nodes[v]
+		if v != e.rootID && e.slotOf(c, nd) != e.slotOf(c2, nd) {
+			return false
+		}
+		for _, ch := range nd.children {
+			if e.rep[c][ch] != e.rep[c2][ch] {
+				return false
+			}
+		}
+		return true
+	}
+	// Union the classes linked by sharing; find(c) is the smallest
+	// class of c's component.
+	link := make([]int, e.numClasses)
+	for c := range link {
+		link[c] = c
+	}
+	find := func(c int) int {
+		for link[c] != c {
+			c = link[c]
+		}
+		return c
+	}
+	for v := range e.nodes {
+		e.applies[v] = 0
+		for c := 0; c < e.numClasses; c++ {
+			r := c
+			for c2 := 0; c2 < c; c2++ {
+				if same(v, c, c2) {
+					r = c2
+					break
+				}
+			}
+			e.rep[c][v] = r
+			if r != c {
+				if a, b := find(r), find(c); a < b {
+					link[b] = a
+				} else if b < a {
+					link[a] = b
+				}
+				continue
+			}
+			if v != e.rootID {
+				e.applies[v]++
+			}
+			if e.msg[c][v] == nil {
+				e.msg[c][v] = mat.New(e.npat, e.n)
+				e.scale[c][v] = make([]float64, e.npat)
+			}
+		}
+	}
+	e.comps = e.comps[:0]
+	compOf := make([]int, e.numClasses)
+	for c := 0; c < e.numClasses; c++ {
+		if r := find(c); r != c {
+			compOf[c] = compOf[r]
+			e.comps[compOf[c]] = append(e.comps[compOf[c]], c)
+			continue
+		}
+		compOf[c] = len(e.comps)
+		e.comps = append(e.comps, []int{c})
+	}
+}
+
+// slotOf returns the canonical slot class c reads on node nd's branch.
+func (e *Engine) slotOf(c int, nd *nodeInfo) int {
+	if nd.foreground {
+		return e.classSlot[c][1]
+	}
+	return e.classSlot[c][0]
+}
+
+// runTiles runs tile(comp, lo, hi, scratch) over every (component ×
+// pattern-block) tile: on the attached pool, or inline over the whole
+// pattern range as worker 0 when there is none. Tiles of one component
+// write disjoint pattern rows and components write disjoint classes,
+// so the tiles run concurrently in any order.
+func (e *Engine) runTiles(tile func(comp []int, lo, hi int, scratch []float64)) {
+	if e.pool == nil {
+		for _, comp := range e.comps {
+			tile(comp, 0, e.npat, e.vec)
+		}
+		return
+	}
+	nb := len(e.blocks)
+	e.pool.Run(len(e.comps)*nb, func(worker, i int) {
+		blk := e.blocks[i%nb]
+		tile(e.comps[i/nb], blk.lo, blk.hi, e.pool.Vec(worker, e.n))
+	})
 }
 
 // runTasks executes task(worker, i) for every i in [0, n): on the
@@ -520,6 +659,7 @@ func (e *Engine) SetModel(m Model) error {
 			e.decomps[slot] = j.d
 		}
 	}
+	e.deriveSharing()
 	for v := range e.pDirty {
 		if v != e.rootID {
 			e.pDirty[v] = true
@@ -555,14 +695,15 @@ func (e *Engine) BranchLengths() []float64 {
 	return append([]float64(nil), e.brLen...)
 }
 
-// neededSlots returns which rate slots branch v requires, given its
-// foreground status: the union over classes of the model's
-// assignment, deduplicated.
+// neededSlots returns which canonical rate slots branch v requires:
+// those of the classes whose message at v is computed.
 func (e *Engine) neededSlots(v int) []bool {
 	need := make([]bool, e.numSlots)
-	fg := e.nodes[v].foreground
+	nd := &e.nodes[v]
 	for c := 0; c < e.numClasses; c++ {
-		need[e.model.RateSlotFor(c, fg)] = true
+		if e.rep[c][v] == c {
+			need[e.slotOf(c, nd)] = true
+		}
 	}
 	return need
 }
@@ -682,52 +823,45 @@ func (e *Engine) LogLikelihood() float64 {
 	}
 	e.refreshTransitions()
 	e.stats.FullEvaluations++
-	switch {
-	case e.pool != nil:
-		// Block-pool: one task per (class × pattern-block) tile, each
-		// using its worker's scratch vector.
-		nb := len(e.blocks)
-		e.pool.Run(e.numClasses*nb, func(worker, i int) {
-			blk := e.blocks[i%nb]
-			e.pruneClassRange(i/nb, blk.lo, blk.hi, e.pool.Vec(worker, e.n))
-		})
-	case e.cfg.Parallel:
-		// Legacy class parallelism: at most numClasses goroutines.
-		var wg sync.WaitGroup
-		for c := 0; c < e.numClasses; c++ {
-			wg.Add(1)
-			go func(c int) {
-				defer wg.Done()
-				e.pruneClassRange(c, 0, e.npat, e.vecScratch[c])
-			}(c)
-		}
-		wg.Wait()
-	default:
-		for c := 0; c < e.numClasses; c++ {
-			e.pruneClassRange(c, 0, e.npat, e.vecScratch[c])
-		}
+	for _, a := range e.applies {
+		e.stats.MessageApplies += a
 	}
-	partials := make([]*mat.Matrix, e.numClasses)
-	scales := make([][]float64, e.numClasses)
-	for c := 0; c < e.numClasses; c++ {
-		partials[c] = e.msg[c][e.rootID]
-		scales[c] = e.scale[c][e.rootID]
-	}
-	return e.combineRoot(partials, scales)
+	e.runTiles(func(comp []int, lo, hi int, scratch []float64) {
+		for _, c := range comp {
+			e.pruneClassRange(c, lo, hi, scratch)
+		}
+	})
+	return e.combineRoot(e.rootPartials())
 }
 
-// pruneClassRange recomputes the messages of one site class for the
+// rootPartials returns the stored root partials and scales by class
+// (nil for classes that do not represent the root).
+func (e *Engine) rootPartials() ([]*mat.Matrix, [][]float64) {
+	partials := make([]*mat.Matrix, e.numClasses)
+	scales := make([][]float64, e.numClasses)
+	for c := range partials {
+		partials[c], scales[c] = e.msg[c][e.rootID], e.scale[c][e.rootID]
+	}
+	return partials, scales
+}
+
+// pruneClassRange recomputes the messages class c represents for the
 // patterns [lo, hi) bottom-up and leaves the root partial rows in
-// msg[class][root]. Ranges of the same class are independent, so any
-// tiling of the pattern range may run concurrently.
+// msg[c][root] when c represents the root. The classes it shares
+// messages with must already be pruned over the same range. Ranges of
+// the same class are independent, so any tiling of the pattern range
+// may run concurrently.
 func (e *Engine) pruneClassRange(c, lo, hi int, scratch []float64) {
 	for v := 0; v < len(e.nodes); v++ {
+		if e.rep[c][v] != c {
+			continue
+		}
 		nd := &e.nodes[v]
 		if v == e.rootID {
 			e.computePartial(c, nd, e.msg[c][v], e.scale[c][v], nil, nil, -1, lo, hi)
 			continue
 		}
-		w := e.model.RateSlotFor(c, nd.foreground)
+		w := e.slotOf(c, nd)
 		if nd.leafRow >= 0 {
 			e.leafMessage(e.trans[v][w], nd.leafRow, e.msg[c][v], lo, hi)
 			zero(e.scale[c][v][lo:hi])
@@ -741,16 +875,18 @@ func (e *Engine) pruneClassRange(c, lo, hi int, scratch []float64) {
 
 // computePartial forms the conditional partial of an internal node for
 // patterns [lo, hi) as the element-wise product of its children's
-// messages, accumulating and applying scaling. If override is non-nil
-// it replaces the message (and scale) of child overrideChild — used by
-// the path update. dstScale must not alias overrideScale or any
-// child's stored scale.
+// messages under class c (each read from its representative),
+// accumulating and applying scaling. If override is non-nil it
+// replaces the message (and scale) of child overrideChild — used by the
+// path update. dstScale must not alias overrideScale or any child's
+// stored scale.
 func (e *Engine) computePartial(c int, nd *nodeInfo, dst *mat.Matrix, dstScale []float64, override *mat.Matrix, overrideScale []float64, overrideChild, lo, hi int) {
 	first := true
 	zero(dstScale[lo:hi])
 	for _, ch := range nd.children {
-		src := e.msg[c][ch]
-		srcScale := e.scale[c][ch]
+		r := e.rep[c][ch]
+		src := e.msg[r][ch]
+		srcScale := e.scale[r][ch]
 		if ch == overrideChild {
 			src = override
 			srcScale = overrideScale
@@ -795,6 +931,7 @@ func (e *Engine) leafMessage(tm *mat.Matrix, leafRow int, dst *mat.Matrix, lo, h
 	codons := e.leafCodon[leafRow]
 	pi := e.pi
 	symv := e.cfg.Apply == ApplyPerSiteSYMV
+	data, stride := tm.Data, tm.Stride
 	for p := lo; p < hi; p++ {
 		drow := dst.Row(p)
 		k := codons[p]
@@ -804,14 +941,15 @@ func (e *Engine) leafMessage(tm *mat.Matrix, leafRow int, dst *mat.Matrix, lo, h
 			}
 			continue
 		}
+		col := data[k:]
 		if symv {
 			f := pi[k]
 			for i := range drow {
-				drow[i] = f * tm.At(i, k)
+				drow[i] = f * col[i*stride]
 			}
 		} else {
 			for i := range drow {
-				drow[i] = tm.At(i, k)
+				drow[i] = col[i*stride]
 			}
 		}
 	}
@@ -832,9 +970,7 @@ func (e *Engine) applyBranch(tm *mat.Matrix, pb *blas.PackedB, partial, dst *mat
 				blas.NaiveGemv(false, 1, tm, partial.Row(p), 0, dst.Row(p))
 			}
 		} else {
-			for p := lo; p < hi; p++ {
-				blas.Dgemv(false, 1, tm, partial.Row(p), 0, dst.Row(p))
-			}
+			blas.DgemvRows(1, tm, partial, 0, dst, lo, hi)
 		}
 	case ApplyPerSiteSYMV:
 		pi := e.pi
@@ -869,10 +1005,12 @@ func (e *Engine) applyBranch(tm *mat.Matrix, pb *blas.PackedB, partial, dst *mat
 }
 
 // combineRoot folds the per-class root partials into the total
-// log-likelihood. Per-pattern contributions are computed (in parallel
-// over pattern blocks when a pool is attached) into siteLnL, then
-// summed by one serial in-order reduction — the deterministic
-// combination that keeps every execution strategy bit-identical.
+// log-likelihood. partials and scales are indexed by class and read
+// only at root representatives. Per-pattern contributions are computed
+// (in parallel over pattern blocks when a pool is attached) into
+// siteLnL, then summed by one serial in-order reduction — the
+// deterministic combination that keeps every execution strategy
+// bit-identical.
 func (e *Engine) combineRoot(partials []*mat.Matrix, scales [][]float64) float64 {
 	if e.pool != nil && len(e.blocks) > 1 {
 		e.pool.Run(len(e.blocks), func(_, bi int) {
@@ -893,22 +1031,10 @@ func (e *Engine) combineRoot(partials []*mat.Matrix, scales [][]float64) float64
 // weight · log Σ_c prop_c·exp(scale_c)·(πᵀv_c) computed with a
 // log-sum-exp over classes.
 func (e *Engine) combineRootRange(partials []*mat.Matrix, scales [][]float64, lo, hi int) {
-	props := e.props
-	pi := e.pi
 	classLog := make([]float64, e.numClasses)
+	dots := make([]float64, e.numClasses)
 	for p := lo; p < hi; p++ {
-		maxLog := math.Inf(-1)
-		for c := 0; c < e.numClasses; c++ {
-			dot := blas.Ddot(pi, partials[c].Row(p))
-			if dot <= 0 {
-				classLog[c] = math.Inf(-1)
-			} else {
-				classLog[c] = math.Log(props[c]) + math.Log(dot) + scales[c][p]
-			}
-			if classLog[c] > maxLog {
-				maxLog = classLog[c]
-			}
-		}
+		maxLog := e.rootClassLogs(partials, scales, p, dots, classLog)
 		if math.IsInf(maxLog, -1) {
 			e.siteLnL[p] = math.Inf(-1)
 			continue
@@ -919,6 +1045,29 @@ func (e *Engine) combineRootRange(partials []*mat.Matrix, scales [][]float64, lo
 		}
 		e.siteLnL[p] = e.weights[p] * (maxLog + math.Log(sum))
 	}
+}
+
+// rootClassLogs fills classLog[c] = log(prop_c·πᵀv_c) + scale_c for
+// pattern p (−Inf where the class likelihood vanishes) and returns the
+// maximum. πᵀv is computed once per root representative; dots is
+// scratch of length numClasses.
+func (e *Engine) rootClassLogs(partials []*mat.Matrix, scales [][]float64, p int, dots, classLog []float64) float64 {
+	maxLog := math.Inf(-1)
+	for c := 0; c < e.numClasses; c++ {
+		r := e.rep[c][e.rootID]
+		if r == c {
+			dots[c] = blas.Ddot(e.pi, partials[c].Row(p))
+		}
+		if dot := dots[r]; dot <= 0 {
+			classLog[c] = math.Inf(-1)
+		} else {
+			classLog[c] = math.Log(e.props[c]) + math.Log(dot) + scales[r][p]
+		}
+		if classLog[c] > maxLog {
+			maxLog = classLog[c]
+		}
+	}
+	return maxLog
 }
 
 // BranchLogLikelihood returns the log-likelihood with branch v set to
@@ -936,63 +1085,64 @@ func (e *Engine) BranchLogLikelihood(v int, t float64) float64 {
 	e.refreshTransitions()
 	e.stats.BranchEvaluations++
 	e.buildTransition(v, t, e.scrTrans, e.scrTransPack)
-
-	if e.pool != nil && len(e.blocks) > 1 {
-		e.pool.Run(len(e.blocks), func(worker, bi int) {
-			blk := e.blocks[bi]
-			e.branchWalkRange(v, blk.lo, blk.hi, e.pool.Vec(worker, e.n))
-		})
-	} else {
-		e.branchWalkRange(v, 0, e.npat, e.vecScratch[0])
+	for u := v; u != e.rootID; u = e.nodes[u].parent {
+		e.stats.MessageApplies += e.applies[u]
 	}
-
-	rootPartials := make([]*mat.Matrix, e.numClasses)
-	rootScales := make([][]float64, e.numClasses)
-	for c := 0; c < e.numClasses; c++ {
-		rootPartials[c] = e.scrPartial[c]
-		rootScales[c] = e.scrRootScale[c]
-	}
-	return e.combineRoot(rootPartials, rootScales)
+	e.runTiles(func(comp []int, lo, hi int, scratch []float64) {
+		e.branchWalkRange(v, comp, lo, hi, scratch)
+	})
+	return e.combineRoot(e.scrPartial, e.scrRootScale)
 }
 
 // branchWalkRange recomputes branch v's message from the perturbed
-// transition matrix for patterns [lo, hi) and walks the path to the
-// root, overriding the path child's message at every level. The walk
-// alternates between the scrMsg/scrMsg2 buffer pair using local
-// references only — every tile performs the same number of
-// alternations, so concurrent tiles stay aligned without mutating
-// engine state — and deposits the root partial rows in scrPartial and
-// the root scale in scrRootScale.
-func (e *Engine) branchWalkRange(v, lo, hi int, scratch []float64) {
-	for c := 0; c < e.numClasses; c++ {
-		nd := &e.nodes[v]
-		w := e.model.RateSlotFor(c, nd.foreground)
-		msg, msc := e.scrMsg[c], e.scrMsgScale[c]
-		alt, asc := e.scrMsg2[c], e.scrScale2[c]
+// transition matrix for the classes of one component over patterns
+// [lo, hi) and walks the path to the root, overriding the path child's
+// message at every level. The walk is level-major: at level k every
+// class that represents itself at that node reads the level k−1
+// message of its representative below from walkMsg[·][(k−1)&1] and
+// writes its own to walkMsg[c][k&1], so a class that diverges from its
+// representative partway up still finds the shared message. Every tile
+// performs the same alternations, so concurrent tiles stay aligned
+// without mutating engine state. The root partial rows land in
+// scrPartial and the root scale in scrRootScale.
+func (e *Engine) branchWalkRange(v int, comp []int, lo, hi int, scratch []float64) {
+	nd := &e.nodes[v]
+	for _, c := range comp {
+		if e.rep[c][v] != c {
+			continue
+		}
+		w := e.slotOf(c, nd)
+		msg, msc := e.walkMsg[c][0], e.walkScale[c][0]
 		if nd.leafRow >= 0 {
 			e.leafMessage(e.scrTrans[w], nd.leafRow, msg, lo, hi)
 			zero(msc[lo:hi])
-		} else {
-			// partial(v) from the stored children messages; the
-			// message inherits the partial's scale.
-			e.computePartial(c, nd, e.scrPartial[c], msc, nil, nil, -1, lo, hi)
-			e.applyBranch(e.scrTrans[w], e.scrTransPack[w], e.scrPartial[c], msg, scratch, lo, hi)
+			continue
 		}
+		// partial(v) from the stored children messages; the message
+		// inherits the partial's scale.
+		e.computePartial(c, nd, e.scrPartial[c], msc, nil, nil, -1, lo, hi)
+		e.applyBranch(e.scrTrans[w], e.scrTransPack[w], e.scrPartial[c], msg, scratch, lo, hi)
+	}
 
-		child := v
-		for u := e.nodes[v].parent; u >= 0; u = e.nodes[u].parent {
-			und := &e.nodes[u]
-			if u == e.rootID {
-				e.computePartial(c, und, e.scrPartial[c], e.scrRootScale[c], msg, msc, child, lo, hi)
-				break
+	child, k := v, 0
+	for u := nd.parent; u >= 0; u = e.nodes[u].parent {
+		k++
+		und := &e.nodes[u]
+		for _, c := range comp {
+			if e.rep[c][u] != c {
+				continue
 			}
-			uw := e.model.RateSlotFor(c, und.foreground)
-			e.computePartial(c, und, e.scrPartial[c], asc, msg, msc, child, lo, hi)
-			e.applyBranch(e.trans[u][uw], e.transPack[u][uw], e.scrPartial[c], alt, scratch, lo, hi)
-			msg, alt = alt, msg
-			msc, asc = asc, msc
-			child = u
+			r := e.rep[c][child]
+			below, belowScale := e.walkMsg[r][(k-1)&1], e.walkScale[r][(k-1)&1]
+			if u == e.rootID {
+				e.computePartial(c, und, e.scrPartial[c], e.scrRootScale[c], below, belowScale, child, lo, hi)
+				continue
+			}
+			w := e.slotOf(c, und)
+			e.computePartial(c, und, e.scrPartial[c], e.walkScale[c][k&1], below, belowScale, child, lo, hi)
+			e.applyBranch(e.trans[u][w], e.transPack[u][w], e.scrPartial[c], e.walkMsg[c][k&1], scratch, lo, hi)
 		}
+		child = u
 	}
 }
 

@@ -46,11 +46,17 @@ func makeFixture(t testing.TB, nwk string, names []string, seqs []string, h bsm.
 
 func (f *fixture) engine(t testing.TB, cfg Config) *Engine {
 	t.Helper()
+	return f.engineWith(t, cfg, f.model)
+}
+
+// engineWith builds an engine on the fixture's data with model m.
+func (f *fixture) engineWith(t testing.TB, cfg Config, m Model) *Engine {
+	t.Helper()
 	e, err := New(f.tree, f.pats, f.names, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := e.SetModel(f.model); err != nil {
+	if err := e.SetModel(m); err != nil {
 		t.Fatal(err)
 	}
 	return e

@@ -99,20 +99,6 @@ func TestBlockPoolBitIdenticalToSerial(t *testing.T) {
 				t.Fatalf("%s: serial lnL is NaN", name)
 			}
 
-			// Legacy class parallelism must match bit-for-bit too.
-			cls := base
-			cls.Parallel = true
-			e, err := New(f.tree, f.pats, f.names, cls)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := e.SetModel(m); err != nil {
-				t.Fatal(err)
-			}
-			if got := e.LogLikelihood(); got != want {
-				t.Errorf("%s apply=%d class-parallel: %0.17g != serial %0.17g", name, apply, got, want)
-			}
-
 			for _, workers := range workerCounts {
 				cfg := base
 				cfg.Workers = workers

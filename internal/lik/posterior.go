@@ -1,10 +1,6 @@
 package lik
 
-import (
-	"math"
-
-	"repro/internal/blas"
-)
+import "math"
 
 // ClassPosteriors returns, for every site pattern, the posterior
 // probability of each site class given the data and the current model
@@ -28,20 +24,11 @@ func (e *Engine) LogLikelihoodAndPosteriors() (float64, [][]float64) {
 
 	out := make([][]float64, e.npat)
 	classLog := make([]float64, e.numClasses)
+	dots := make([]float64, e.numClasses)
+	partials, scales := e.rootPartials()
 	for p := 0; p < e.npat; p++ {
 		out[p] = make([]float64, e.numClasses)
-		maxLog := math.Inf(-1)
-		for c := 0; c < e.numClasses; c++ {
-			dot := blas.Ddot(e.pi, e.msg[c][e.rootID].Row(p))
-			if dot <= 0 {
-				classLog[c] = math.Inf(-1)
-			} else {
-				classLog[c] = math.Log(e.props[c]) + math.Log(dot) + e.scale[c][e.rootID][p]
-			}
-			if classLog[c] > maxLog {
-				maxLog = classLog[c]
-			}
-		}
+		maxLog := e.rootClassLogs(partials, scales, p, dots, classLog)
 		sum := 0.0
 		for c := 0; c < e.numClasses; c++ {
 			out[p][c] = math.Exp(classLog[c] - maxLog)

@@ -71,7 +71,6 @@ func TestClassPosteriorsStrategyInvariant(t *testing.T) {
 	for _, cfg := range []Config{
 		{Apply: ApplyPerSiteSYMV},
 		{Apply: ApplyBundled},
-		{Apply: ApplyPerSiteGEMV, Parallel: true},
 	} {
 		got := f.engine(t, cfg).ClassPosteriors()
 		for p := range ref {
@@ -80,34 +79,6 @@ func TestClassPosteriorsStrategyInvariant(t *testing.T) {
 					t.Fatalf("cfg %+v: posterior (%d,%d) %g vs %g", cfg, p, c, got[p][c], ref[p][c])
 				}
 			}
-		}
-	}
-}
-
-// Parallel class pruning must agree with serial execution exactly.
-func TestParallelPruningMatchesSerial(t *testing.T) {
-	f := smallFixture(t, bsm.H1, h1Params())
-	for _, apply := range []ApplyMode{ApplyPerSiteGEMV, ApplyPerSiteSYMV, ApplyBundled} {
-		serial := f.engine(t, Config{Apply: apply}).LogLikelihood()
-		parallel := f.engine(t, Config{Apply: apply, Parallel: true}).LogLikelihood()
-		if serial != parallel {
-			t.Fatalf("apply %d: parallel %0.15f != serial %0.15f", apply, parallel, serial)
-		}
-	}
-}
-
-// BranchLogLikelihood must also work on a parallel-configured engine.
-func TestParallelBranchUpdate(t *testing.T) {
-	f := smallFixture(t, bsm.H1, h1Params())
-	e := f.engine(t, Config{Parallel: true})
-	e.LogLikelihood()
-	eSerial := f.engine(t, Config{})
-	eSerial.LogLikelihood()
-	for _, v := range e.BranchIDs() {
-		got := e.BranchLogLikelihood(v, 0.42)
-		want := eSerial.BranchLogLikelihood(v, 0.42)
-		if math.Abs(got-want) > 1e-10 {
-			t.Fatalf("branch %d: parallel engine path update %g vs %g", v, got, want)
 		}
 	}
 }

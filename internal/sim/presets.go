@@ -12,7 +12,7 @@ import (
 // Preset describes one of the paper's Table II evaluation datasets by
 // its workload shape. The original Ensembl alignments (release 55/61,
 // Selectome) are substituted by simulation with the same dimensions;
-// see the package comment and DESIGN.md.
+// see the package comment.
 type Preset struct {
 	// ID is the paper's roman-numeral dataset label.
 	ID string
